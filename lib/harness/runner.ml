@@ -8,8 +8,8 @@ type runtime = Pthreads | Kendo | Dthreads | Coredet | Rfdet of Options.t
 let runtime_name = function
   | Pthreads -> Rfdet_baselines.Pthreads_runtime.name
   | Kendo -> Rfdet_baselines.Kendo_runtime.name
-  | Dthreads -> Rfdet_baselines.Dthreads_runtime.name
-  | Coredet -> Rfdet_baselines.Coredet_runtime.name
+  | Dthreads -> "dthreads"
+  | Coredet -> "coredet"
   | Rfdet opts -> Options.name opts
 
 let rfdet_ci = Rfdet Options.ci
@@ -44,8 +44,8 @@ let cli_name r =
 let make_policy = function
   | Pthreads -> Rfdet_baselines.Pthreads_runtime.make
   | Kendo -> Rfdet_baselines.Kendo_runtime.make
-  | Dthreads -> Rfdet_baselines.Dthreads_runtime.make
-  | Coredet -> Rfdet_baselines.Coredet_runtime.make ?quantum:None
+  | Dthreads -> Rfdet_baselines.Fence_runtime.dthreads
+  | Coredet -> Rfdet_baselines.Fence_runtime.coredet ?quantum:None
   | Rfdet opts -> Rfdet_core.Rfdet_runtime.make ~opts
 
 type run_result = {
