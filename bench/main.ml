@@ -46,6 +46,24 @@ let microbenches () =
           let b = Rfdet_util.Vclock.of_list (List.init 64 (fun i -> 64 - i)) in
           fun () -> ignore (Rfdet_util.Vclock.compare_partial a b)))
   in
+  (* The Figure-5 filter kernels, on clocks ordered component-wise so
+     the early exit never fires and every component is compared. *)
+  let ordered_pair () =
+    ( Rfdet_util.Vclock.of_list (List.init 64 (fun i -> i)),
+      Rfdet_util.Vclock.of_list (List.init 64 (fun i -> i + 1)) )
+  in
+  let vclock_lt =
+    Test.make ~name:"vclock lt (64 components)"
+      (Staged.stage
+         (let a, b = ordered_pair () in
+          fun () -> ignore (Rfdet_util.Vclock.lt a b)))
+  in
+  let vclock_leq =
+    Test.make ~name:"vclock leq (64 components)"
+      (Staged.stage
+         (let a, b = ordered_pair () in
+          fun () -> ignore (Rfdet_util.Vclock.leq a b)))
+  in
   (* The word-level diff against its byte-at-a-time oracle, in both the
      sparse (typical slice) and dense (barrier merge) regimes. *)
   let dirty_1pct () =
@@ -162,6 +180,8 @@ let microbenches () =
     [
       vclock_join;
       vclock_compare;
+      vclock_lt;
+      vclock_leq;
       page_diff;
       page_diff_bytewise;
       page_diff_50;

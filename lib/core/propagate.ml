@@ -63,56 +63,74 @@ let apply_eager ~cost ~(into : Tstate.t) (s : Slice.t) =
   Diff.apply into.shared s.mods;
   s.bytes * cost.Cost.apply_byte
 
+let page_of (r : Diff.run) = Rfdet_mem.Page.id_of_addr r.addr
+
+let rec pages_ascending = function
+  | a :: (b :: _ as rest) -> page_of a <= page_of b && pages_ascending rest
+  | [ _ ] | [] -> true
+
+let rec same_page page = function
+  | r :: rest when page_of r = page -> r :: same_page page rest
+  | _ -> []
+
+let rec drop_page page = function
+  | r :: rest when page_of r = page -> drop_page page rest
+  | runs -> runs
+
+(* [fold_pages f acc mods] folds [f acc page runs] over the pages a
+   modification list touches, page id ascending, each page's runs in
+   their original order.  A slice lists its runs page by page in
+   first-touch order, so the stable sort runs only when that order is
+   not already ascending, and a one-page list is passed on as it is. *)
+let fold_pages f acc (mods : Diff.t) =
+  let mods =
+    if pages_ascending mods then mods
+    else List.stable_sort (fun a b -> Int.compare (page_of a) (page_of b)) mods
+  in
+  let rec go acc = function
+    | [] -> acc
+    | r :: _ as runs ->
+      let page = page_of r in
+      let rest = drop_page page runs in
+      let group = match rest with [] -> runs | _ -> same_page page runs in
+      go (f acc page group) rest
+  in
+  go acc mods
+
+let payload runs =
+  List.fold_left (fun acc (r : Diff.run) -> acc + String.length r.data) 0 runs
+
 let apply_lazy ~cost ~(opts : Options.t) ~(into : Tstate.t) (s : Slice.t) =
-  (* Group the slice's runs by page.  Pages carrying a substantial
-     payload are queued and access-revoked so the first touch faults the
-     updates in; small payloads are cheaper to write now than to trap on
-     later, so they apply eagerly (see Options.lazy_min_bytes). *)
-  let cycles = ref 0 in
-  let by_page = Hashtbl.create 8 in
-  List.iter
-    (fun (r : Diff.run) ->
-      let page = Rfdet_mem.Page.id_of_addr r.addr in
-      let existing = Option.value (Hashtbl.find_opt by_page page) ~default:[] in
-      Hashtbl.replace by_page page (r :: existing))
-    s.mods;
-  let pages = Hashtbl.fold (fun p rs acc -> (p, List.rev rs) :: acc) by_page [] in
-  let pages = List.sort compare pages in
+  (* Pages carrying a substantial payload are queued and access-revoked
+     so the first touch faults the updates in; small payloads are
+     cheaper to write now than to trap on later, so they apply eagerly
+     (see Options.lazy_min_bytes). *)
   let deferred = ref false in
-  List.iter
-    (fun (page, runs) ->
-      let bytes =
-        List.fold_left (fun acc (r : Diff.run) -> acc + String.length r.data) 0 runs
-      in
-      (* A page that already has deferred updates must keep receiving
-         them in order, whatever the payload size. *)
-      if bytes >= opts.lazy_min_bytes || Tstate.has_pending into page then begin
-        Tstate.add_pending into page runs;
-        Space.protect into.shared page Space.Prot_none;
-        deferred := true;
-        cycles := !cycles + 25
-      end
-      else begin
-        Diff.apply_runs_on_page into.shared ~page_id:page runs;
-        cycles := !cycles + (bytes * cost.Cost.apply_byte)
-      end)
-    pages;
+  let cycles =
+    fold_pages
+      (fun cycles page runs ->
+        let bytes = payload runs in
+        (* A page that already has deferred updates must keep receiving
+           them in order, whatever the payload size. *)
+        if bytes >= opts.lazy_min_bytes || Tstate.has_pending into page then begin
+          Tstate.add_pending into page runs;
+          Space.protect into.shared page Space.Prot_none;
+          deferred := true;
+          cycles + 25
+        end
+        else begin
+          Diff.apply_runs_on_page into.shared ~page_id:page runs;
+          cycles + (bytes * cost.Cost.apply_byte)
+        end)
+      0 s.mods
+  in
   (* one mprotect call covers the whole deferred page set *)
-  if !deferred then cycles := !cycles + cost.Cost.mprotect_page;
-  !cycles
+  if !deferred then cycles + cost.Cost.mprotect_page else cycles
 
 (* Per-page byte totals of a slice's modification list, page id
    ascending — the payload of the trace's [Prop_page] events. *)
 let pages_of_mods mods =
-  let by_page = Hashtbl.create 8 in
-  List.iter
-    (fun (r : Diff.run) ->
-      let page = Rfdet_mem.Page.id_of_addr r.addr in
-      let existing = Option.value (Hashtbl.find_opt by_page page) ~default:0 in
-      Hashtbl.replace by_page page (existing + String.length r.data))
-    mods;
-  Hashtbl.fold (fun p b acc -> (p, b) :: acc) by_page []
-  |> List.sort compare
+  List.rev (fold_pages (fun acc page runs -> (page, payload runs) :: acc) [] mods)
 
 let run ?(drop = false) ?(obs = Rfdet_obs.Sink.null) ?(at = 0) ~cost
     ~(opts : Options.t) ~(prof : Profile.t) ~(from : Tstate.t) ~(upto : int)

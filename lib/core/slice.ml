@@ -32,8 +32,7 @@ let mix_string h s =
   !h
 
 let compute_checksum ~tid ~mods ~time =
-  let h = ref (mix 0x27d4eb2f tid) in
-  List.iter (fun c -> h := mix !h c) (Rfdet_util.Vclock.to_list time);
+  let h = ref (Rfdet_util.Vclock.fold mix (mix 0x27d4eb2f tid) time) in
   List.iter
     (fun (r : Rfdet_mem.Diff.run) ->
       h := mix !h r.addr;

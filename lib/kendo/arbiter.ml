@@ -1,5 +1,10 @@
 module Engine = Rfdet_sim.Engine
 
+(* Kendo's turn order on (icount, tid) stamps: lexicographic, compared
+   at [int] so no generic comparison runs on the grant path. *)
+let compare_stamp ((c1, t1) : int * int) ((c2, t2) : int * int) =
+  if c1 <> c2 then Int.compare c1 c2 else Int.compare t1 t2
+
 type pending_req = {
   stamp : int * int;  (* (icount at request, tid) *)
   asked_at : int;  (* simulated clock when filed, for stats *)
@@ -62,7 +67,8 @@ let reservation_rank t ~tid =
     Hashtbl.fold
       (fun tid' st acc ->
         match st with
-        | Pending { stamp = stamp'; _ } when tid' <> tid && stamp' < stamp ->
+        | Pending { stamp = stamp'; _ }
+          when tid' <> tid && compare_stamp stamp' stamp < 0 ->
           acc + 1
         | Pending _ | Active | Inactive -> acc)
       t.states 0
@@ -74,7 +80,8 @@ let min_pending t =
     (fun tid st acc ->
       match st, acc with
       | Pending p, None -> Some (tid, p)
-      | Pending p, Some (_, best) when p.stamp < best.stamp -> Some (tid, p)
+      | Pending p, Some (_, best) when compare_stamp p.stamp best.stamp < 0 ->
+        Some (tid, p)
       | _ -> acc)
     t.states None
 
@@ -82,15 +89,16 @@ let min_pending t =
    past its stamp.  Other pending requests necessarily have larger stamps
    (we only test the minimum), and inactive/finished threads are ignored
    exactly as Kendo ignores blocked threads. *)
-let grantable t tid (stamp : int * int) =
+let grantable t tid ((c, ctid) : int * int) =
   let ok = ref true in
   Hashtbl.iter
     (fun tid' st ->
       if !ok && tid' <> tid then
         match st with
         | Active ->
-          let stamp' = (Engine.icount t.engine tid', tid') in
-          if stamp' <= stamp then ok := false
+          (* (icount', tid') <= (c, ctid), without building the pair *)
+          let c' = Engine.icount t.engine tid' in
+          if c' < c || (c' = c && tid' <= ctid) then ok := false
         | Inactive | Pending _ -> ())
     t.states;
   !ok
@@ -119,7 +127,8 @@ let min_timer t =
     (fun tid tm acc ->
       match acc with
       | None -> Some (tid, tm)
-      | Some (_, best) when tm.tm_stamp < best.tm_stamp -> Some (tid, tm)
+      | Some (_, best) when compare_stamp tm.tm_stamp best.tm_stamp < 0 ->
+        Some (tid, tm)
       | Some _ -> acc)
     t.timers None
 
@@ -133,7 +142,7 @@ let rec poll t =
     | Some (tid, p), None -> Some (`Req (tid, p))
     | None, Some (tid, tm) -> Some (`Timer (tid, tm))
     | Some (rtid, p), Some (ttid, tm) ->
-      if p.stamp <= tm.tm_stamp then Some (`Req (rtid, p))
+      if compare_stamp p.stamp tm.tm_stamp <= 0 then Some (`Req (rtid, p))
       else Some (`Timer (ttid, tm))
   in
   match next with

@@ -18,6 +18,11 @@
 
 type t
 
+(** [compare_stamp a b] is the deterministic turn order on
+    (instruction count, tid) stamps: lexicographic, and equal to
+    [Stdlib.compare] on such pairs, but compared at [int]. *)
+val compare_stamp : int * int -> int * int -> int
+
 val create : Rfdet_sim.Engine.t -> t
 
 (** [thread_started t ~tid] registers a thread as active.  Thread 0 must

@@ -191,7 +191,8 @@ let insert_sorted ~stamp_of_elt e l =
   let k = stamp_of_elt e in
   let rec go = function
     | [] -> [ e ]
-    | x :: _ as rest when stamp_of_elt x > k -> e :: rest
+    | x :: _ as rest when Arbiter.compare_stamp (stamp_of_elt x) k > 0 ->
+      e :: rest
     | x :: rest -> x :: go rest
   in
   go l
@@ -818,7 +819,10 @@ let deque_steal t ~tid ~own =
               | [] -> acc
               | (_, stamp) :: _ -> (
                 match acc with
-                | Some (bstamp, bh, _) when (bstamp, bh) <= (stamp, h) -> acc
+                | Some (bstamp, bh, _)
+                  when let c = Arbiter.compare_stamp bstamp stamp in
+                       c < 0 || (c = 0 && bh <= h) ->
+                  acc
                 | _ -> Some (stamp, h, st)))
           t.deques None
       in
@@ -1279,7 +1283,10 @@ let deadlock_victim t =
   | [] -> None
   | hd :: tl ->
     let key tid = (Engine.icount t.engine tid, tid) in
-    Some (List.fold_left (fun b x -> if key x < key b then x else b) hd tl)
+    Some
+      (List.fold_left
+         (fun b x -> if Arbiter.compare_stamp (key x) (key b) < 0 then x else b)
+         hd tl)
 
 let poll t = Arbiter.poll t.arb
 

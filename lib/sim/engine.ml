@@ -159,8 +159,8 @@ let is_boundary (op : Op.t) =
      | Sem_create _ | Deque_create -> true
      | _ -> false
 
-let cmp_entry (c1, t1, _) (c2, t2, _) =
-  if c1 <> c2 then compare c1 c2 else compare t1 t2
+let cmp_entry ((c1 : int), (t1 : int), _) (c2, t2, _) =
+  if c1 <> c2 then Int.compare c1 c2 else Int.compare t1 t2
 
 let find t tid =
   match Hashtbl.find_opt t.threads tid with
@@ -250,7 +250,7 @@ let live_tids t =
       | Finished | Crashed -> acc
       | Ready | Running | Blocked -> tid :: acc)
     t.threads []
-  |> List.sort compare
+  |> List.sort Int.compare
 
 let profile t = t.prof
 
@@ -640,7 +640,7 @@ let ready_tids t =
   Hashtbl.fold
     (fun tid th acc -> if th.status = Ready then tid :: acc else acc)
     t.threads []
-  |> List.sort compare
+  |> List.sort Int.compare
 
 (* Surface one clock-order scheduling step to [config.sched_tap], but only
    when it is a *decision point* — the schedule could have run a different

@@ -2,6 +2,10 @@ type t = int array
 
 type order = Equal | Less | Greater | Concurrent
 
+(* Every kernel below is annotated at [t]: without flambda, [<=] on an
+   unannotated (hence polymorphic) array element is a C call to the
+   generic comparison, once per component. *)
+
 let create n =
   if n <= 0 then invalid_arg "Vclock.create: n <= 0";
   Array.make n 0
@@ -10,15 +14,15 @@ let size ~c = Array.length c
 
 let copy = Array.copy
 
-let get c i = c.(i)
+let get (c : t) i = c.(i)
 
-let set c i v = c.(i) <- v
+let set (c : t) i v = c.(i) <- v
 
 let tick c i =
   c.(i) <- c.(i) + 1;
   c.(i)
 
-let join dst src =
+let join (dst : t) (src : t) =
   if Array.length dst <> Array.length src then
     invalid_arg "Vclock.join: size mismatch";
   for i = 0 to Array.length dst - 1 do
@@ -30,15 +34,36 @@ let joined a b =
   join c b;
   c
 
-let leq a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Vclock.leq: size mismatch";
-  let rec go i = i >= Array.length a || (a.(i) <= b.(i) && go (i + 1)) in
-  go 0
+let leq (a : t) (b : t) =
+  let n = Array.length a in
+  if n <> Array.length b then invalid_arg "Vclock.leq: size mismatch";
+  let i = ref 0 in
+  while !i < n && a.(!i) <= b.(!i) do
+    incr i
+  done;
+  !i = n
 
-let equal a b = a = b
+let equal (a : t) (b : t) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = n
 
-let lt a b = leq a b && not (equal a b)
+(* One pass: every component [<=], at least one [<].  A size mismatch
+   raises [leq]'s error, as [leq a b && not (equal a b)] would. *)
+let lt (a : t) (b : t) =
+  let n = Array.length a in
+  if n <> Array.length b then invalid_arg "Vclock.leq: size mismatch";
+  let i = ref 0 and strict = ref false in
+  while !i < n && a.(!i) <= b.(!i) do
+    if a.(!i) < b.(!i) then strict := true;
+    incr i
+  done;
+  !i = n && !strict
 
 let compare_partial a b =
   let le = leq a b and ge = leq b a in
@@ -48,20 +73,20 @@ let compare_partial a b =
   | false, true -> Greater
   | false, false -> Concurrent
 
-let compare_total = Stdlib.compare
-
-let min_into dst src =
+let min_into (dst : t) (src : t) =
   if Array.length dst <> Array.length src then
     invalid_arg "Vclock.min_into: size mismatch";
   for i = 0 to Array.length dst - 1 do
     if src.(i) < dst.(i) then dst.(i) <- src.(i)
   done
 
+let fold f acc (c : t) = Array.fold_left f acc c
+
 let to_list = Array.to_list
 
-let of_list l =
-  if l = [] then invalid_arg "Vclock.of_list: empty";
-  Array.of_list l
+let of_list = function
+  | [] -> invalid_arg "Vclock.of_list: empty"
+  | l -> Array.of_list l
 
 let pp ppf c =
   Format.fprintf ppf "<%a>"

@@ -56,16 +56,15 @@ val compare_partial : t -> t -> order
 (** [equal a b] is component-wise equality. *)
 val equal : t -> t -> bool
 
-(** [compare_total a b] is an arbitrary but deterministic total order
-    (lexicographic) extending nothing in particular; used only for sorted
-    containers. *)
-val compare_total : t -> t -> int
-
 (** [min_into dst src] sets [dst := dst ⊓ src] (component-wise min).
     Used by the garbage collector to compute the global frontier: a slice
     older than the component-wise minimum of all threads' clocks has been
     propagated everywhere. *)
 val min_into : t -> t -> unit
+
+(** [fold f acc c] folds [f] over the components in thread-id order,
+    without building a list. *)
+val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 (** [to_list c] lists the components in thread-id order. *)
 val to_list : t -> int list

@@ -201,6 +201,46 @@ let test_propagate_lazy_defers_large () =
   Alcotest.(check bool) "page protected" true
     (Space.protection into.Tstate.shared 5 = Space.Prot_none)
 
+(* Runs arrive in first-touch page order, and a page's runs need not be
+   adjacent.  The lazy path must still see pages ascending with each
+   page's runs in their original order, and so must the [Prop_page]
+   trace events. *)
+let test_propagate_lazy_groups_by_page () =
+  let from = mk_state 1 in
+  let into = mk_state 0 in
+  let run page off data = { Diff.addr = (page * Page.size) + off; data } in
+  let a = run 7 0 (String.make 600 'A')
+  and b = run 5 8 (String.make 600 'B')
+  and c = run 7 1000 (String.make 600 'C')
+  and d = run 6 3 "d" in
+  let s = slice ~id:0 ~tid:1 ~mods:[ a; b; c; d ] ~time:[ 0; 1; 0; 0 ] in
+  Tstate.append_slice from s;
+  let prof = Rfdet_sim.Profile.create () in
+  let obs = Rfdet_obs.Sink.create () in
+  let _ =
+    Propagate.run ~obs ~cost:Rfdet_sim.Cost.default ~opts:Options.ci ~prof
+      ~from ~upto:1 ~into ~upper:(vc [ 9; 9; 9; 9 ]) ~lower:(vc [ 0; 0; 0; 0 ])
+      ()
+  in
+  let addrs l = List.map (fun (r : Diff.run) -> r.addr) l in
+  Alcotest.(check (list int)) "page 7 runs in order" (addrs [ a; c ])
+    (addrs (Tstate.pending_runs into 7));
+  Alcotest.(check (list int)) "page 5 runs" (addrs [ b ])
+    (addrs (Tstate.pending_runs into 5));
+  Alcotest.(check bool) "small page applied now" false (Tstate.has_pending into 6);
+  Alcotest.(check int) "small page bytes" (Char.code 'd')
+    (Space.load_byte into.Tstate.shared ((6 * Page.size) + 3));
+  let prop_pages =
+    List.filter_map
+      (fun (e : Rfdet_obs.Trace.event) ->
+        match e.kind with
+        | Rfdet_obs.Trace.Prop_page { page; bytes } -> Some (page, bytes)
+        | _ -> None)
+      (Rfdet_obs.Sink.events obs)
+  in
+  Alcotest.(check (list (pair int int))) "prop_page events ascending"
+    [ (5, 600); (6, 1); (7, 1200) ] prop_pages
+
 let suites =
   [
     ( "metadata",
@@ -218,5 +258,7 @@ let suites =
           test_propagate_skips_freed;
         Alcotest.test_case "propagate lazy defers" `Quick
           test_propagate_lazy_defers_large;
+        Alcotest.test_case "propagate lazy groups by page" `Quick
+          test_propagate_lazy_groups_by_page;
       ] );
   ]

@@ -141,6 +141,131 @@ let prop_filter_never_twice =
         not (passes ~upper:next_upper ~lower:lower' s)
       else true)
 
+(* --- the monomorphic comparison kernels ---------------------------------
+
+   [leq], [lt], [equal], [join] and [min_into] are hand-written loops at
+   [int]; a list-based reference pins their meaning at every width a run
+   uses, including the clocks that stress an early exit: equal ones, and
+   ones that differ only in the first or only in the last component. *)
+
+let ref_leq a b = List.for_all2 ( <= ) a b
+let ref_lt a b = ref_leq a b && List.exists2 ( < ) a b
+let ref_join a b = List.map2 max a b
+let ref_min a b = List.map2 min a b
+
+(* A pair of clocks of one width in 1..64: unrelated, equal, or equal
+   but for index 0 or the last index (63 at width 64), moved either way. *)
+let gen_kernel_pair =
+  let open QCheck2.Gen in
+  let* n = oneof [ int_range 1 64; return 64 ] in
+  let* a = list_size (return n) (int_bound 6) in
+  let bump i d = List.mapi (fun j x -> if j = i then x + d else x) a in
+  let* b =
+    oneof
+      [
+        list_size (return n) (int_bound 6);
+        return a;
+        map (bump 0) (oneofl [ -1; 1 ]);
+        map (bump (n - 1)) (oneofl [ -1; 1 ]);
+      ]
+  in
+  return (a, b)
+
+let prop_kernels_match_reference =
+  QCheck2.Test.make ~name:"vclock: kernels match a list reference (widths 1-64)"
+    ~count:1000
+    ~print:(fun (a, b) ->
+      let p l = String.concat "," (List.map string_of_int l) in
+      Printf.sprintf "<%s> <%s>" (p a) (p b))
+    gen_kernel_pair
+    (fun (a, b) ->
+      let ca = vc a and cb = vc b in
+      let j = Vclock.copy ca and m = Vclock.copy ca in
+      Vclock.join j cb;
+      Vclock.min_into m cb;
+      Vclock.leq ca cb = ref_leq a b
+      && Vclock.lt ca cb = ref_lt a b
+      && Vclock.equal ca cb = (a = b)
+      && Vclock.to_list j = ref_join a b
+      && Vclock.to_list m = ref_min a b)
+
+let test_kernels_edge_indices () =
+  let base = List.init 64 (fun i -> i mod 5) in
+  let at i d = vc (List.mapi (fun j x -> if j = i then x + d else x) base) in
+  let c = vc base in
+  List.iter
+    (fun i ->
+      let name what = Printf.sprintf "index %d: %s" i what in
+      let up = at i 1 in
+      Alcotest.(check bool) (name "leq") true (Vclock.leq c up);
+      Alcotest.(check bool) (name "lt") true (Vclock.lt c up);
+      Alcotest.(check bool) (name "not lt back") false (Vclock.lt up c);
+      Alcotest.(check bool) (name "not leq back") false (Vclock.leq up c);
+      Alcotest.(check bool) (name "not equal") false (Vclock.equal c up))
+    [ 0; 63 ];
+  Alcotest.(check bool) "equal clocks: leq" true (Vclock.leq c (vc base));
+  Alcotest.(check bool) "equal clocks: not lt" false (Vclock.lt c (vc base));
+  Alcotest.(check bool) "equal clocks: equal" true (Vclock.equal c (vc base));
+  Alcotest.(check bool) "different widths are not equal" false
+    (Vclock.equal (Vclock.create 3) (Vclock.create 4));
+  Alcotest.check_raises "lt mismatch keeps leq's message"
+    (Invalid_argument "Vclock.leq: size mismatch") (fun () ->
+      ignore (Vclock.lt (Vclock.create 2) (Vclock.create 3)))
+
+(* Minor words allocated per call of [f], over [n] calls. *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_kernels_do_not_allocate () =
+  let a = Vclock.of_list (List.init 64 (fun i -> i))
+  and b = Vclock.of_list (List.init 64 (fun i -> i + 1)) in
+  let n = 10_000 in
+  List.iter
+    (fun (name, f) ->
+      let w = words_per_call n f in
+      if w >= 1.0 then
+        Alcotest.failf "%s: %.2f minor words per call on 64-wide clocks" name w)
+    [
+      ("leq", fun () -> ignore (Sys.opaque_identity (Vclock.leq a b)));
+      ("lt", fun () -> ignore (Sys.opaque_identity (Vclock.lt a b)));
+      ("equal", fun () -> ignore (Sys.opaque_identity (Vclock.equal a b)));
+      ("join", fun () -> Vclock.join a b);
+    ]
+
+(* The slice digest hashes the clock component by component.  This value
+   was computed by the list-building implementation it replaced; the
+   digest must not change, or recorded checksums stop verifying. *)
+let test_checksum_pinned () =
+  let time =
+    Vclock.of_list (List.init 64 (fun i -> ((i * 7919) mod 1013) + i))
+  in
+  let mods =
+    [
+      { Rfdet_mem.Diff.addr = 4096 + 17; data = "hello, slice" };
+      { Rfdet_mem.Diff.addr = (8192 * 3) + 5; data = "\x00\xff\x7f" };
+    ]
+  in
+  Alcotest.(check int) "checksum" 2121303387376023531
+    (Rfdet_core.Slice.compute_checksum ~tid:3 ~mods ~time)
+
+let prop_stamp_order =
+  let gen_stamp =
+    QCheck2.Gen.(
+      pair
+        (oneof [ int_bound 4; int; oneofl [ min_int; max_int; 0 ] ])
+        (int_bound 8))
+  in
+  QCheck2.Test.make ~name:"arbiter: stamp order is Stdlib.compare on pairs"
+    ~count:1000
+    QCheck2.Gen.(pair gen_stamp gen_stamp)
+    (fun (a, b) ->
+      Rfdet_kendo.Arbiter.compare_stamp a b = Stdlib.compare a b
+      && Rfdet_kendo.Arbiter.compare_stamp a a = 0)
+
 let suites =
   [
     ( "vclock",
@@ -162,5 +287,15 @@ let suites =
         QCheck_alcotest.to_alcotest prop_filter_lower_monotone;
         QCheck_alcotest.to_alcotest prop_filter_transitive;
         QCheck_alcotest.to_alcotest prop_filter_never_twice;
+      ] );
+    ( "comparison kernels",
+      [
+        QCheck_alcotest.to_alcotest prop_kernels_match_reference;
+        Alcotest.test_case "edge indices and equal clocks" `Quick
+          test_kernels_edge_indices;
+        Alcotest.test_case "no allocation on 64-wide clocks" `Quick
+          test_kernels_do_not_allocate;
+        Alcotest.test_case "slice checksum pinned" `Quick test_checksum_pinned;
+        QCheck_alcotest.to_alcotest prop_stamp_order;
       ] );
   ]
