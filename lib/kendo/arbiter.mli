@@ -69,8 +69,16 @@ val add_timer : t -> tid:int -> deadline:int -> fire:(now:int -> unit) -> unit
 val cancel_timer : t -> tid:int -> unit
 
 (** [poll t] grants every currently grantable request and fires every
-    due timer, in global stamp order.  Call after every engine step. *)
+    due timer, in global stamp order.  Call after every engine step.
+
+    Cost: with no request and no timer filed, [poll] is O(1) and
+    allocates nothing.  When the minimal stamp was found blocked by some
+    active thread and no state or timer has changed since, the only cost
+    is one [Engine.icount] lookup of that thread.  Otherwise it scans
+    the tid-indexed tables, allocating nothing itself beyond the
+    [Engine] lookups of active threads and whatever the grant and fire
+    callbacks do. *)
 val poll : t -> unit
 
-(** [pending_count t] — outstanding requests (diagnostics). *)
+(** [pending_count t] — outstanding requests (diagnostics); O(1). *)
 val pending_count : t -> int

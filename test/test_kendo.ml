@@ -193,6 +193,128 @@ let test_arbiter_unit () =
   in
   Alcotest.(check int) "ran to completion" 1 result.Engine.threads
 
+(* Drives an arbiter by hand inside the policy factory, where engine
+   threads 0 .. [threads - 1] exist and no operation has run yet; the
+   threads then finish under a policy that does nothing. *)
+let with_arbiter ~threads scenario =
+  let (_ : Engine.result) =
+    Engine.run
+      (fun engine ->
+        for _ = 1 to threads - 1 do
+          ignore (Engine.register_thread engine ~body:ignore ~start_at:0)
+        done;
+        let arb = Arbiter.create engine in
+        for tid = 0 to threads - 1 do
+          Arbiter.thread_started arb ~tid
+        done;
+        scenario engine arb;
+        {
+          Engine.policy_name = "arbiter-scenario";
+          handle = (fun ~tid:_ _ -> Engine.Done 0);
+          on_engine_op = (fun ~tid:_ _ outcome -> outcome);
+          on_thread_exit = (fun ~tid:_ -> ());
+          on_thread_crash = Engine.escalate_crash;
+          on_step = ignore;
+          on_finish = ignore;
+        })
+      ~main:ignore
+  in
+  ()
+
+(* Thread 0 sits at icount 100 and blocks thread 1's request at 200;
+   [leave] takes thread 0 out of the active set without advancing it.
+   The poll right after must grant: the cached blocker is stale. *)
+let blocker_leaves leave () =
+  with_arbiter ~threads:3 (fun engine arb ->
+      Engine.seed_icount engine 0 100;
+      Engine.seed_icount engine 1 200;
+      Engine.seed_icount engine 2 500;
+      let granted = ref 0 in
+      Arbiter.request arb ~tid:1 ~grant:(fun ~now:_ -> incr granted);
+      Arbiter.poll arb;
+      Arbiter.poll arb;
+      Alcotest.(check int) "blocked while thread 0 is behind" 0 !granted;
+      leave arb ~tid:0;
+      Arbiter.poll arb;
+      Alcotest.(check int) "granted on the next poll" 1 !granted;
+      Alcotest.(check int) "nothing pending" 0 (Arbiter.pending_count arb))
+
+let test_tie_request_first () =
+  with_arbiter ~threads:3 (fun engine arb ->
+      Engine.seed_icount engine 0 100;
+      Engine.seed_icount engine 1 200;
+      Engine.seed_icount engine 2 500;
+      let order = ref [] in
+      Arbiter.add_timer arb ~tid:1 ~deadline:200 ~fire:(fun ~now:_ ->
+          order := "timer" :: !order);
+      Arbiter.request arb ~tid:1 ~grant:(fun ~now:_ ->
+          order := "request" :: !order);
+      Arbiter.poll arb;
+      Alcotest.(check (list string)) "both wait for thread 0" [] !order;
+      Engine.seed_icount engine 0 300;
+      Arbiter.poll arb;
+      Alcotest.(check (list string))
+        "equal stamps: the request goes first" [ "request"; "timer" ]
+        (List.rev !order))
+
+let test_thread0_blocks_child () =
+  with_arbiter ~threads:1 (fun engine arb ->
+      let child = Engine.register_thread engine ~body:ignore ~start_at:0 in
+      Arbiter.thread_started arb ~tid:child;
+      Engine.seed_icount engine 0 10;
+      Engine.seed_icount engine child 50;
+      let granted = ref 0 in
+      Arbiter.request arb ~tid:child ~grant:(fun ~now:_ -> incr granted);
+      Arbiter.poll arb;
+      Arbiter.poll arb;
+      Alcotest.(check int) "thread 0 behind: blocked" 0 !granted;
+      Engine.seed_icount engine 0 50;
+      Arbiter.poll arb;
+      Alcotest.(check int) "thread 0 at (50, 0) < (50, 1): blocked" 0 !granted;
+      Engine.seed_icount engine 0 51;
+      Arbiter.poll arb;
+      Alcotest.(check int) "thread 0 past the stamp: granted" 1 !granted)
+
+(* [reservation_rank] against a brute-force count over random threads,
+   each an (icount, files a request) pair. *)
+let prop_reservation_rank =
+  QCheck2.Test.make ~name:"kendo: reservation_rank is a brute-force count"
+    ~count:200
+    QCheck2.Gen.(list_size (int_range 1 8) (pair (int_bound 20) bool))
+    (fun threads ->
+      let threads = Array.of_list threads in
+      let n = Array.length threads in
+      let ok = ref true in
+      with_arbiter ~threads:n (fun engine arb ->
+          Array.iteri
+            (fun tid (c, req) ->
+              Engine.seed_icount engine tid c;
+              if req then Arbiter.request arb ~tid ~grant:(fun ~now:_ -> ()))
+            threads;
+          Array.iteri
+            (fun tid (c, req) ->
+              let brute = ref 0 in
+              if req then
+                Array.iteri
+                  (fun tid' (c', req') ->
+                    if req' && Arbiter.compare_stamp (c', tid') (c, tid) < 0
+                    then incr brute)
+                  threads;
+              if Arbiter.reservation_rank arb ~tid <> !brute then ok := false)
+            threads);
+      !ok)
+
+let test_idle_poll_does_not_allocate () =
+  with_arbiter ~threads:4 (fun _ arb ->
+      let n = 10_000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        Arbiter.poll arb
+      done;
+      let w = (Gc.minor_words () -. before) /. float_of_int n in
+      if w >= 1.0 then
+        Alcotest.failf "%.2f minor words per poll with nothing filed" w)
+
 let suites =
   [
     ( "kendo",
@@ -209,5 +331,16 @@ let suites =
         Alcotest.test_case "spawn inherits icount" `Quick
           test_spawn_inherits_icount;
         Alcotest.test_case "arbiter unit" `Quick test_arbiter_unit;
+        Alcotest.test_case "arbiter: blocker goes inactive" `Quick
+          (blocker_leaves Arbiter.set_inactive);
+        Alcotest.test_case "arbiter: blocker finishes" `Quick
+          (blocker_leaves Arbiter.thread_finished);
+        Alcotest.test_case "arbiter: request before timer on a tie" `Quick
+          test_tie_request_first;
+        Alcotest.test_case "arbiter: thread 0 blocks a child" `Quick
+          test_thread0_blocks_child;
+        QCheck_alcotest.to_alcotest prop_reservation_rank;
+        Alcotest.test_case "arbiter: idle poll allocates nothing" `Quick
+          test_idle_poll_does_not_allocate;
       ] );
   ]
